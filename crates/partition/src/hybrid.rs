@@ -27,7 +27,7 @@ use crate::sample::WorkloadSample;
 use ps2stream_geo::{Rect, UniformGrid};
 use ps2stream_model::WorkerId;
 use ps2stream_text::{TermDistribution, TermId, TermStats};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Configuration of the hybrid partitioner.
@@ -89,7 +89,7 @@ enum NodeClass {
 }
 
 /// A Phase-1 node: a subspace plus the sampled objects/queries it contains.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     rect: Rect,
     /// Indices into `sample.objects()` of objects located in the rect.
@@ -101,7 +101,7 @@ struct Node {
 
 /// A workload unit produced by Phase 2: either a subspace assigned wholly to
 /// one worker, or a (subspace, term group) pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Unit {
     rect: Rect,
     /// `None` = spatial unit (all terms); `Some(terms)` = text unit.
@@ -192,15 +192,7 @@ impl Partitioner for HybridPartitioner {
             units.extend(replacements);
         };
 
-        build_routing_table(
-            sample,
-            grid,
-            &units,
-            &assignment,
-            num_workers,
-            stats,
-            self.name(),
-        )
+        build_routing_table(grid, &units, &assignment, num_workers, stats, self.name())
     }
 }
 
@@ -238,43 +230,32 @@ fn split_node_contents(sample: &WorkloadSample, node: &Node, dim: usize) -> Opti
         return None;
     }
     let (low_rect, high_rect) = node.rect.split_at(dim, median);
-    let make = |rect: Rect| {
-        let objects: Vec<usize> = node
-            .objects
-            .iter()
-            .copied()
-            .filter(|&i| rect.contains_point(&sample.objects()[i].location))
-            .collect();
-        let queries: Vec<usize> = node
+    // objects on the split line belong to the low side only
+    let mut low_objects = Vec::new();
+    let mut high_objects = Vec::new();
+    for &i in &node.objects {
+        let location = &sample.objects()[i].location;
+        if low_rect.contains_point(location) {
+            low_objects.push(i);
+        } else if high_rect.contains_point(location) {
+            high_objects.push(i);
+        }
+    }
+    if low_objects.is_empty() && high_objects.is_empty() {
+        return None;
+    }
+    let make = |rect: Rect, objects: Vec<usize>| Node {
+        rect,
+        objects,
+        queries: node
             .queries
             .iter()
             .copied()
             .filter(|&i| rect.intersects(&sample.insertions()[i].region))
-            .collect();
-        Node {
-            rect,
-            objects,
-            queries,
-            class: NodeClass::Space,
-        }
+            .collect(),
+        class: NodeClass::Space,
     };
-    // assign objects on the split line to the low side only
-    let mut low = make(low_rect);
-    let mut high = make(high_rect);
-    // avoid double counting objects exactly on the boundary
-    let boundary: Vec<usize> = low
-        .objects
-        .iter()
-        .copied()
-        .filter(|i| high.objects.contains(i))
-        .collect();
-    high.objects.retain(|i| !boundary.contains(i));
-    if low.objects.is_empty() && high.objects.is_empty() {
-        return None;
-    }
-    low.class = NodeClass::Space;
-    high.class = NodeClass::Space;
-    Some((low, high))
+    Some((make(low_rect, low_objects), make(high_rect, high_objects)))
 }
 
 /// Phase 1 of Algorithm 1 (lines 1–12).
@@ -521,14 +502,13 @@ fn text_partition_node_restricted(
 ) -> Vec<Unit> {
     // posting term of each query in the node
     let stats = sample.object_stats();
+    let allowed: Option<HashSet<TermId>> = restrict_terms.map(|ts| ts.iter().copied().collect());
     let mut term_queries: HashMap<TermId, Vec<usize>> = HashMap::new();
     for &qi in &node.queries {
         let q = &sample.insertions()[qi];
         for t in q.keywords.representative_terms(|t| stats.frequency(t)) {
-            if let Some(allowed) = restrict_terms {
-                if !allowed.contains(&t) {
-                    continue;
-                }
+            if allowed.as_ref().is_some_and(|a| !a.contains(&t)) {
+                continue;
             }
             term_queries.entry(t).or_default().push(qi);
         }
@@ -541,23 +521,33 @@ fn text_partition_node_restricted(
             queries: node.queries.clone(),
         }];
     }
-    // weight of a term = queries posted under it × objects containing it
+    // objects containing each posting term, counted in one pass over the
+    // node's objects (an object's terms are sorted and deduplicated)
+    let mut term_objects: HashMap<TermId, usize> = term_queries.keys().map(|&t| (t, 0)).collect();
+    for &oi in &node.objects {
+        for t in &sample.objects()[oi].terms {
+            if let Some(count) = term_objects.get_mut(t) {
+                *count += 1;
+            }
+        }
+    }
+    // weight of a term = queries posted under it × objects containing it;
+    // equal weights are ordered by term id so the result never depends on
+    // hash-map iteration order
     let mut terms: Vec<(TermId, f64)> = term_queries
         .iter()
-        .map(|(t, qs)| {
-            let obj_count = node
-                .objects
-                .iter()
-                .filter(|&&oi| sample.objects()[oi].contains_term(*t))
-                .count();
-            (*t, (qs.len() as f64) * (obj_count.max(1) as f64))
-        })
+        .map(|(t, qs)| (*t, (qs.len() as f64) * (term_objects[t].max(1) as f64)))
         .collect();
-    terms.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    terms.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
     let k = k.min(terms.len()).max(1);
     // LPT over term weights
     let mut groups: Vec<Vec<TermId>> = vec![Vec::new(); k];
     let mut group_load = vec![0.0f64; k];
+    let mut group_of: HashMap<TermId, usize> = HashMap::with_capacity(terms.len());
     for (t, w) in terms {
         let (best, _) = group_load
             .iter()
@@ -566,26 +556,30 @@ fn text_partition_node_restricted(
             .expect("k >= 1");
         groups[best].push(t);
         group_load[best] += w;
+        group_of.insert(t, best);
+    }
+    // an object joins every group owning one of its terms, once, in node order
+    let mut group_objects: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for &oi in &node.objects {
+        for t in &sample.objects()[oi].terms {
+            if let Some(&g) = group_of.get(t) {
+                if group_objects[g].last() != Some(&oi) {
+                    group_objects[g].push(oi);
+                }
+            }
+        }
     }
     groups
         .into_iter()
-        .filter(|g| !g.is_empty())
-        .map(|terms| {
-            let queries: Vec<usize> = {
-                let mut qs: Vec<usize> = terms
-                    .iter()
-                    .flat_map(|t| term_queries.get(t).cloned().unwrap_or_default())
-                    .collect();
-                qs.sort_unstable();
-                qs.dedup();
-                qs
-            };
-            let objects: Vec<usize> = node
-                .objects
+        .zip(group_objects)
+        .filter(|(terms, _)| !terms.is_empty())
+        .map(|(terms, objects)| {
+            let mut queries: Vec<usize> = terms
                 .iter()
-                .copied()
-                .filter(|&oi| terms.iter().any(|t| sample.objects()[oi].contains_term(*t)))
+                .flat_map(|t| term_queries[t].iter().copied())
                 .collect();
+            queries.sort_unstable();
+            queries.dedup();
             Unit {
                 rect: node.rect,
                 terms: Some(terms),
@@ -641,9 +635,7 @@ fn partition_loads(
 }
 
 /// Converts the final unit → worker assignment into the gridt routing table.
-#[allow(clippy::too_many_arguments)]
 fn build_routing_table(
-    sample: &WorkloadSample,
     grid: UniformGrid,
     units: &[Unit],
     assignment: &[WorkerId],
@@ -690,8 +682,205 @@ fn build_routing_table(
             }
         }
     }
-    let _ = sample;
     RoutingTable::new(grid, cells, num_workers, stats, name)
+}
+
+/// The calibration scans as they were before they became linear in a node's
+/// objects: a binary search of every object per posting term, a term-by-term
+/// membership test per text group, and a `Vec::contains` boundary dedup.
+/// The tests check the production code against them unit for unit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn split_node_contents(
+        sample: &WorkloadSample,
+        node: &Node,
+        dim: usize,
+    ) -> Option<(Node, Node)> {
+        if node.objects.len() < 2 {
+            return None;
+        }
+        let mut coords: Vec<f64> = node
+            .objects
+            .iter()
+            .map(|&i| sample.objects()[i].location.coord(dim))
+            .collect();
+        coords.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let median = coords[coords.len() / 2];
+        if median <= node.rect.min.coord(dim) || median >= node.rect.max.coord(dim) {
+            return None;
+        }
+        let (low_rect, high_rect) = node.rect.split_at(dim, median);
+        let make = |rect: Rect| Node {
+            rect,
+            objects: node
+                .objects
+                .iter()
+                .copied()
+                .filter(|&i| rect.contains_point(&sample.objects()[i].location))
+                .collect(),
+            queries: node
+                .queries
+                .iter()
+                .copied()
+                .filter(|&i| rect.intersects(&sample.insertions()[i].region))
+                .collect(),
+            class: NodeClass::Space,
+        };
+        let low = make(low_rect);
+        let mut high = make(high_rect);
+        let boundary: Vec<usize> = low
+            .objects
+            .iter()
+            .copied()
+            .filter(|i| high.objects.contains(i))
+            .collect();
+        high.objects.retain(|i| !boundary.contains(i));
+        if low.objects.is_empty() && high.objects.is_empty() {
+            return None;
+        }
+        Some((low, high))
+    }
+
+    pub(super) fn partition_node(
+        sample: &WorkloadSample,
+        node: &Node,
+        k: usize,
+        cfg: &HybridConfig,
+    ) -> Vec<Unit> {
+        if k <= 1 {
+            return super::partition_node(sample, node, k, cfg);
+        }
+        let by_text = text_partition_node_restricted(sample, node, k, None);
+        if node.class == NodeClass::Text {
+            return by_text;
+        }
+        let by_space = space_partition_node(sample, node, k);
+        let load = |units: &[Unit]| units.iter().map(|u| u.load(&cfg.costs)).sum::<f64>();
+        if load(&by_text) < load(&by_space) {
+            by_text
+        } else {
+            by_space
+        }
+    }
+
+    fn space_partition_node(sample: &WorkloadSample, node: &Node, k: usize) -> Vec<Unit> {
+        let mut parts = vec![node.clone()];
+        while parts.len() < k {
+            let Some((idx, _)) = parts
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.objects.len() >= 2)
+                .max_by_key(|(_, p)| p.objects.len())
+            else {
+                break;
+            };
+            let part = parts.swap_remove(idx);
+            let dim = part.rect.longest_dim();
+            match split_node_contents(sample, &part, dim)
+                .or_else(|| split_node_contents(sample, &part, 1 - dim))
+            {
+                Some((a, b)) => {
+                    parts.push(a);
+                    parts.push(b);
+                }
+                None => {
+                    parts.push(part);
+                    break;
+                }
+            }
+        }
+        parts
+            .into_iter()
+            .map(|p| Unit {
+                rect: p.rect,
+                terms: None,
+                objects: p.objects,
+                queries: p.queries,
+            })
+            .collect()
+    }
+
+    pub(super) fn text_partition_node_restricted(
+        sample: &WorkloadSample,
+        node: &Node,
+        k: usize,
+        restrict_terms: Option<&[TermId]>,
+    ) -> Vec<Unit> {
+        let stats = sample.object_stats();
+        let mut term_queries: HashMap<TermId, Vec<usize>> = HashMap::new();
+        for &qi in &node.queries {
+            let q = &sample.insertions()[qi];
+            for t in q.keywords.representative_terms(|t| stats.frequency(t)) {
+                if restrict_terms.is_some_and(|allowed| !allowed.contains(&t)) {
+                    continue;
+                }
+                term_queries.entry(t).or_default().push(qi);
+            }
+        }
+        if term_queries.is_empty() {
+            return vec![Unit {
+                rect: node.rect,
+                terms: Some(restrict_terms.map(<[TermId]>::to_vec).unwrap_or_default()),
+                objects: node.objects.clone(),
+                queries: node.queries.clone(),
+            }];
+        }
+        let mut terms: Vec<(TermId, f64)> = term_queries
+            .iter()
+            .map(|(t, qs)| {
+                let obj_count = node
+                    .objects
+                    .iter()
+                    .filter(|&&oi| sample.objects()[oi].contains_term(*t))
+                    .count();
+                (*t, (qs.len() as f64) * (obj_count.max(1) as f64))
+            })
+            .collect();
+        // the term-id tie-break is the production rule, not a scan
+        terms.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        let k = k.min(terms.len()).max(1);
+        let mut groups: Vec<Vec<TermId>> = vec![Vec::new(); k];
+        let mut group_load = vec![0.0f64; k];
+        for (t, w) in terms {
+            let (best, _) = group_load
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .expect("k >= 1");
+            groups[best].push(t);
+            group_load[best] += w;
+        }
+        groups
+            .into_iter()
+            .filter(|g| !g.is_empty())
+            .map(|terms| {
+                let mut queries: Vec<usize> = terms
+                    .iter()
+                    .flat_map(|t| term_queries[t].iter().copied())
+                    .collect();
+                queries.sort_unstable();
+                queries.dedup();
+                let objects: Vec<usize> = node
+                    .objects
+                    .iter()
+                    .copied()
+                    .filter(|&oi| terms.iter().any(|t| sample.objects()[oi].contains_term(*t)))
+                    .collect();
+                Unit {
+                    rect: node.rect,
+                    terms: Some(terms),
+                    objects,
+                    queries,
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -701,6 +890,7 @@ mod tests {
     use crate::partitioner::evaluate_distribution;
     use crate::space::KdTreePartitioner;
     use crate::text::MetricPartitioner;
+    use proptest::prelude::*;
     use ps2stream_geo::Point;
     use ps2stream_model::{ObjectId, QueryId, SpatioTextualObject, StsQuery, SubscriberId};
     use ps2stream_text::BooleanExpr;
@@ -901,5 +1091,109 @@ mod tests {
             nodes.iter().any(|n| n.class == NodeClass::Text),
             "expected at least one Nt node"
         );
+    }
+
+    /// Objects and queries on a 16×16 integer lattice over a small
+    /// vocabulary, so medians land on object coordinates and terms repeat.
+    fn arb_sample() -> impl Strategy<Value = WorkloadSample> {
+        let objects = proptest::collection::vec(
+            (
+                proptest::collection::vec(0u32..12, 1..5),
+                0u32..=16,
+                0u32..=16,
+            ),
+            2..40,
+        );
+        let queries = proptest::collection::vec(
+            (
+                proptest::collection::vec(0u32..14, 1..4),
+                any::<bool>(),
+                0u32..=16,
+                0u32..=16,
+                0u32..8,
+            ),
+            1..20,
+        );
+        (objects, queries).prop_map(|(objects, queries)| {
+            let objects = objects
+                .into_iter()
+                .enumerate()
+                .map(|(i, (terms, x, y))| obj(i as u64, &terms, x as f64, y as f64))
+                .collect();
+            let queries = queries
+                .into_iter()
+                .enumerate()
+                .map(|(i, (terms, or, x, y, half))| {
+                    let terms = terms.into_iter().map(TermId);
+                    StsQuery::new(
+                        QueryId(i as u64),
+                        SubscriberId(i as u64),
+                        if or {
+                            BooleanExpr::or_of(terms)
+                        } else {
+                            BooleanExpr::and_of(terms)
+                        },
+                        Rect::square(Point::new(x as f64, y as f64), half as f64),
+                    )
+                })
+                .collect();
+            WorkloadSample::from_objects_and_queries(
+                Rect::from_coords(0.0, 0.0, 16.0, 16.0),
+                objects,
+                queries,
+            )
+        })
+    }
+
+    /// The node of `sample` covering `rect`.
+    fn node_of(sample: &WorkloadSample, rect: Rect, text: bool) -> Node {
+        Node {
+            rect,
+            objects: (0..sample.objects().len())
+                .filter(|&i| rect.contains_point(&sample.objects()[i].location))
+                .collect(),
+            queries: (0..sample.insertions().len())
+                .filter(|&i| rect.intersects(&sample.insertions()[i].region))
+                .collect(),
+            class: if text {
+                NodeClass::Text
+            } else {
+                NodeClass::Space
+            },
+        }
+    }
+
+    proptest! {
+        /// The linear scans produce exactly the units of the reference scans:
+        /// the same rects, term groups, object lists and query lists.
+        #[test]
+        fn linear_scans_match_the_reference(
+            sample in arb_sample(),
+            corner in (0u32..8, 0u32..8, 8u32..=16, 8u32..=16),
+            text in any::<bool>(),
+            restrict in proptest::collection::vec(0u32..14, 1..8),
+        ) {
+            let cfg = HybridConfig::default();
+            let (x0, y0, x1, y1) = corner;
+            let rect = Rect::from_coords(x0 as f64, y0 as f64, x1 as f64, y1 as f64);
+            let node = node_of(&sample, rect, text);
+            for k in 1..=8 {
+                prop_assert_eq!(
+                    partition_node(&sample, &node, k, &cfg),
+                    reference::partition_node(&sample, &node, k, &cfg)
+                );
+            }
+            for dim in 0..2 {
+                prop_assert_eq!(
+                    split_node_contents(&sample, &node, dim),
+                    reference::split_node_contents(&sample, &node, dim)
+                );
+            }
+            let restrict: Vec<TermId> = restrict.into_iter().map(TermId).collect();
+            prop_assert_eq!(
+                text_partition_node_restricted(&sample, &node, 2, Some(&restrict)),
+                reference::text_partition_node_restricted(&sample, &node, 2, Some(&restrict))
+            );
+        }
     }
 }

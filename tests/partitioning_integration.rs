@@ -104,3 +104,43 @@ fn routing_tables_reflect_their_strategy_families() {
     // dispatcher memory ordering of Figure 9: space < hybrid-ish <= text-heavy
     assert!(space_table.memory_usage() <= hybrid_table.memory_usage());
 }
+
+#[test]
+fn hybrid_partition_depends_only_on_the_sample() {
+    // Q2's rare keywords give many posting terms equal weights; the text
+    // split orders them by term id, so repeated calls build the same table.
+    let sample = build_sample(DatasetSpec::tweets_us(), QueryClass::Q2, 5_000, 1_250, 2017);
+    // A cell's term map holds query terms only and routes every other term
+    // to the cell's default worker, so the query vocabulary plus one term
+    // no query uses covers every sample term.
+    let mut terms: Vec<TermId> = sample
+        .insertions()
+        .iter()
+        .flat_map(|q| q.keywords.all_terms())
+        .collect();
+    terms.sort_unstable();
+    terms.dedup();
+    let object_only = sample
+        .objects()
+        .iter()
+        .flat_map(|o| o.terms.iter().copied())
+        .find(|t| terms.binary_search(t).is_err())
+        .expect("some object term is in no query");
+    terms.push(object_only);
+    let first = HybridPartitioner::default().partition(&sample, 8);
+    assert!(first.text_partitioned_fraction() > 0.0);
+    let grid = first.grid();
+    for _ in 0..2 {
+        let again = HybridPartitioner::default().partition(&sample, 8);
+        for cell in grid.all_cells() {
+            let (a, b) = (first.cell_routing(cell), again.cell_routing(cell));
+            for &t in &terms {
+                assert_eq!(
+                    a.worker_for(t),
+                    b.worker_for(t),
+                    "cell {cell:?} routes term {t:?} differently on a repeated call"
+                );
+            }
+        }
+    }
+}
